@@ -1,5 +1,7 @@
 package plan
 
+import "slices"
+
 // Incremental is the stateful, per-CPU admission engine. It answers the
 // same admit/reject question as Analyze — bit-identically, see
 // VerdictsEquivalent and the planverify build tag — but keeps the admitted
@@ -32,12 +34,21 @@ package plan
 //   - the engine holds no valid state (empty set, or a committed set the
 //     full analysis itself rejected conservatively).
 //
+// Beside the curve the engine keeps the committed set a second time in
+// canonical order, updated by binary-search insert and delete, so a
+// patched verdict's digest is one merge pass over it and the gang rather
+// than a sort of the whole candidate. The patch path — add, remove and
+// evaluate alike — allocates nothing in the steady state: candidates are
+// built in engine scratch, and removals compact the committed slices in
+// place.
+//
 // Incremental is not safe for concurrent use; give each CPU (or each
 // cluster node) its own engine.
 type Incremental struct {
 	spec Spec
 
 	tasks TaskSet // committed tasks, in admission order
+	canon TaskSet // the same tasks, in canonical order
 	rems  []int64 // per-task inflated per-job demand (slice + 2*overhead)
 	hyper int64   // hyperperiod of tasks (0 when empty)
 	jobs  int64   // total jobs per hyperperiod: sum of hyper/period
@@ -57,13 +68,14 @@ type Incremental struct {
 	last  Verdict // verdict of the committed set
 	stats IncrementalStats
 
-	// scratch holds per-engine evaluation buffers reused across
-	// EvaluateGang/TryGangBatch calls, so the batch-query hot path does no
-	// per-call slice growth. Safe because the engine is single-owner and
-	// nothing retains these buffers past a call.
+	// scratch holds per-engine buffers reused across operations, so the
+	// patch path does no per-call slice growth. Safe because the engine is
+	// single-owner and nothing retains these buffers past a call.
 	scratch struct {
-		candidate TaskSet
-		rems      []int64
+		candidate TaskSet // committed set ++ gang
+		gang      TaskSet // the gang, in canonical order
+		rems      []int64 // the gang's per-job demand
+		drop      []bool  // committed indices a removal consumes
 	}
 }
 
@@ -122,7 +134,7 @@ func (inc *Incremental) Stats() IncrementalStats { return inc.stats }
 
 // Reset empties the engine.
 func (inc *Incremental) Reset() {
-	inc.tasks, inc.rems, inc.points = nil, nil, nil
+	inc.tasks, inc.canon, inc.rems, inc.points = nil, nil, nil, nil
 	inc.index = map[int64]int{}
 	inc.hyper, inc.jobs = 0, 0
 	inc.valid = true
@@ -154,8 +166,7 @@ func (inc *Incremental) TryGang(gang TaskSet) Verdict {
 	if len(gang) == 0 {
 		return inc.last
 	}
-	candidate := make(TaskSet, 0, len(inc.tasks)+len(gang))
-	candidate = append(append(candidate, inc.tasks...), gang...)
+	candidate := inc.candidate(gang)
 
 	gangRems, gangJobs, eligible := inc.gangEligible(gang)
 	var v Verdict
@@ -174,7 +185,8 @@ func (inc *Incremental) TryGang(gang TaskSet) Verdict {
 	v = Analyze(inc.spec, candidate)
 	verifyVerdict(inc.spec, candidate, v)
 	if v.Admit {
-		inc.rebuild(candidate, v)
+		// rebuild keeps the slice, so it gets its own copy of the scratch.
+		inc.rebuild(append(TaskSet(nil), candidate...), v)
 	}
 	return v
 }
@@ -194,38 +206,28 @@ func (inc *Incremental) RemoveGang(gang TaskSet) (Verdict, bool) {
 	if len(gang) == 0 {
 		return inc.last, true
 	}
-	drop, ok := inc.matchIndices(gang)
-	if !ok {
+	if !inc.matchIndices(gang) {
 		return inc.last, false
 	}
-	candidate := make(TaskSet, 0, len(inc.tasks)-len(gang))
-	for i, t := range inc.tasks {
-		if !drop[i] {
-			candidate = append(candidate, t)
-		}
-	}
+	// A removal always commits, so the committed state is updated first
+	// and the verdict read from it. When the patch turns out inexact the
+	// rebuild below discards the patched curve.
+	inc.commitRemove()
 
-	newHyper, overflow := hyperOf(candidate)
-	var removedJobs int64
-	if inc.hyper > 0 {
-		for i := range drop {
-			removedJobs += inc.hyper / inc.tasks[i].PeriodNs
-		}
-	}
-	if inc.valid && len(candidate) > 0 && !overflow && newHyper == inc.hyper &&
-		3*(inc.jobs-removedJobs)+stepRiskMargin <= MaxSimSteps {
+	newHyper, overflow := hyperOf(inc.tasks)
+	if inc.valid && len(inc.tasks) > 0 && !overflow && newHyper == inc.hyper &&
+		3*inc.jobs+stepRiskMargin <= MaxSimSteps {
 		inc.stats.IncrementalOps++
-		v := inc.removeVerdict(candidate)
-		verifyVerdict(inc.spec, candidate, v)
-		inc.commitRemove(drop, removedJobs, candidate)
+		v := inc.removeVerdict()
+		verifyVerdict(inc.spec, inc.tasks, v)
 		inc.last = v
 		return v, true
 	}
 
 	inc.stats.FullAnalyses++
-	v := Analyze(inc.spec, candidate)
-	verifyVerdict(inc.spec, candidate, v)
-	inc.rebuild(candidate, v)
+	v := Analyze(inc.spec, inc.tasks)
+	verifyVerdict(inc.spec, inc.tasks, v)
+	inc.rebuild(inc.tasks, v)
 	return v, true
 }
 
@@ -240,9 +242,7 @@ func (inc *Incremental) EvaluateGang(gang TaskSet) Verdict {
 	if len(gang) == 0 {
 		return inc.last
 	}
-	candidate := append(inc.scratch.candidate[:0], inc.tasks...)
-	candidate = append(candidate, gang...)
-	inc.scratch.candidate = candidate
+	candidate := inc.candidate(gang)
 
 	gangRems, _, eligible := inc.gangEligible(gang)
 	var v Verdict
@@ -268,6 +268,13 @@ func (inc *Incremental) TryGangBatch(gangs []TaskSet) []Verdict {
 		out[i] = inc.EvaluateGang(g)
 	}
 	return out
+}
+
+// candidate builds the committed set ++ gang in engine scratch, valid
+// until the next operation.
+func (inc *Incremental) candidate(gang TaskSet) TaskSet {
+	inc.scratch.candidate = append(append(inc.scratch.candidate[:0], inc.tasks...), gang...)
+	return inc.scratch.candidate
 }
 
 // gangEligible decides whether the gang can be answered by patching:
@@ -302,7 +309,10 @@ func (inc *Incremental) gangEligible(gang TaskSet) (rems []int64, gangJobs int64
 // patchVerdict evaluates candidate (= committed set + gang) against the
 // patched demand curve without committing anything.
 func (inc *Incremental) patchVerdict(candidate, gang TaskSet, gangRems []int64) Verdict {
-	v := Verdict{Utilization: candidate.Utilization(), Digest: candidate.Digest()}
+	sorted := append(inc.scratch.gang[:0], gang...)
+	canonSort(sorted)
+	inc.scratch.gang = sorted
+	v := Verdict{Utilization: candidate.Utilization(), Digest: digestMerged(inc.canon, sorted)}
 	v.BoundOK = v.Utilization <= inc.spec.UtilizationLimit+utilEpsilon
 
 	simOK := true
@@ -347,11 +357,11 @@ func (inc *Incremental) patchVerdict(candidate, gang TaskSet, gangRems []int64) 
 	return v
 }
 
-// removeVerdict builds the verdict for candidate (= committed set minus a
-// gang, hyperperiod unchanged). Demand only shrinks, so the simulation
+// removeVerdict builds the verdict for the committed set after a patched
+// removal (hyperperiod unchanged). Demand only shrinks, so the simulation
 // gate still passes; only the utilization bound needs re-checking.
-func (inc *Incremental) removeVerdict(candidate TaskSet) Verdict {
-	v := Verdict{Utilization: candidate.Utilization(), Digest: candidate.Digest()}
+func (inc *Incremental) removeVerdict() Verdict {
+	v := Verdict{Utilization: inc.tasks.Utilization(), Digest: digestOf(inc.canon)}
 	v.BoundOK = v.Utilization <= inc.spec.UtilizationLimit+utilEpsilon
 	v.Sim = SimResult{OK: true, Reason: OK, HyperperiodNs: inc.hyper, Steps: len(inc.points)}
 	v.Admit = v.BoundOK
@@ -379,40 +389,62 @@ func (inc *Incremental) commitGang(gang TaskSet, gangRems []int64, gangJobs int6
 				t: t, demand: inc.baseDemandAt(t) + gangDemandAt(t, gang, gangRems)})
 		}
 	}
+	for _, g := range gang {
+		i, _ := slices.BinarySearchFunc(inc.canon, g, compareTasks)
+		inc.canon = slices.Insert(inc.canon, i, g)
+	}
 	inc.tasks = append(inc.tasks, gang...)
 	inc.rems = append(inc.rems, gangRems...)
 	inc.jobs += gangJobs
 }
 
-// commitRemove applies a committed eviction: removed tasks' demand is
-// subtracted at every checkpoint. Checkpoints that were multiples only of
-// a removed period are retained — their demand stays exact and checking
+// commitRemove evicts the tasks matchIndices marked: they leave the
+// canonical copy, their demand is subtracted at every checkpoint and their
+// jobs from the job count, and tasks and rems are compacted in place,
+// keeping admission order. Checkpoints that were multiples only of a
+// removed period are retained — their demand stays exact and checking
 // them is merely redundant — until the next full rebuild prunes them.
-func (inc *Incremental) commitRemove(drop map[int]bool, removedJobs int64, candidate TaskSet) {
-	dropped := make([]int, 0, len(drop))
-	for j := range drop {
-		dropped = append(dropped, j)
-	}
-	for i := range inc.points {
-		t := inc.points[i].t
-		for _, j := range dropped {
-			inc.points[i].demand -= (t / inc.tasks[j].PeriodNs) * inc.rems[j]
+func (inc *Incremental) commitRemove() {
+	drop := inc.scratch.drop
+	for j, d := range drop {
+		if !d {
+			continue
+		}
+		gone := inc.tasks[j]
+		k, _ := slices.BinarySearchFunc(inc.canon, gone, compareTasks)
+		inc.canon = slices.Delete(inc.canon, k, k+1)
+		if !inc.valid {
+			continue
+		}
+		inc.jobs -= inc.hyper / gone.PeriodNs
+		for i := range inc.points {
+			inc.points[i].demand -= (inc.points[i].t / gone.PeriodNs) * inc.rems[j]
 		}
 	}
-	rems := make([]int64, 0, len(candidate))
-	for j := range inc.tasks {
-		if !drop[j] {
-			rems = append(rems, inc.rems[j])
+	if inc.valid {
+		inc.rems = compact(inc.rems, drop)
+	}
+	inc.tasks = compact(inc.tasks, drop)
+}
+
+// compact drops the marked elements of s in place, keeping order.
+func compact[T any](s []T, drop []bool) []T {
+	n := 0
+	for i, x := range s {
+		if !drop[i] {
+			s[n] = x
+			n++
 		}
 	}
-	inc.tasks, inc.rems = candidate, rems
-	inc.jobs -= removedJobs
+	return s[:n]
 }
 
 // rebuild replaces the retained state with a fresh decomposition of an
 // analyzed candidate (the full-analysis fallback path).
 func (inc *Incremental) rebuild(candidate TaskSet, v Verdict) {
 	inc.tasks = candidate
+	inc.canon = append(inc.canon[:0], candidate...)
+	canonSort(inc.canon)
 	inc.last = v
 	inc.points, inc.rems = nil, nil
 	inc.index = map[int64]int{}
@@ -474,8 +506,12 @@ func gangDemandAt(t int64, gang TaskSet, gangRems []int64) int64 {
 
 // matchIndices resolves a gang to committed task indices, multiset-style:
 // each member consumes the first unconsumed committed task equal to it.
-func (inc *Incremental) matchIndices(gang TaskSet) (map[int]bool, bool) {
-	drop := make(map[int]bool, len(gang))
+// The marks are left in scratch.drop for commitRemove; false means some
+// member has no match.
+func (inc *Incremental) matchIndices(gang TaskSet) bool {
+	drop := slices.Grow(inc.scratch.drop[:0], len(inc.tasks))[:len(inc.tasks)]
+	clear(drop)
+	inc.scratch.drop = drop
 	for _, g := range gang {
 		found := false
 		for i, t := range inc.tasks {
@@ -486,10 +522,10 @@ func (inc *Incremental) matchIndices(gang TaskSet) (map[int]bool, bool) {
 			}
 		}
 		if !found {
-			return nil, false
+			return false
 		}
 	}
-	return drop, true
+	return true
 }
 
 // hyperOf folds the hyperperiod of set the same way Simulate does,

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"hrtsched/internal/sim"
@@ -179,6 +180,7 @@ func TestIncrementalPropertyRandomSequences(t *testing.T) {
 				}
 				mirror = candidate
 				gangRemovals++
+				checkTasks(t, eng, mirror, seq, op)
 
 			case len(mirror) > 0 && roll < 0.35:
 				// Remove a random committed task; the engine evicts the
@@ -194,6 +196,7 @@ func TestIncrementalPropertyRandomSequences(t *testing.T) {
 						seq, op, candidate, v, want)
 				}
 				mirror = candidate
+				checkTasks(t, eng, mirror, seq, op)
 
 			default:
 				gang := TaskSet{randTask(r, periods)}
@@ -209,6 +212,7 @@ func TestIncrementalPropertyRandomSequences(t *testing.T) {
 				if v.Admit {
 					mirror = candidate
 				}
+				checkTasks(t, eng, mirror, seq, op)
 			}
 		}
 		if want := analysis.Analyze(mirror); !VerdictsEquivalent(eng.Verdict(), want) {
@@ -226,6 +230,17 @@ func TestIncrementalPropertyRandomSequences(t *testing.T) {
 	}
 	t.Logf("paths over %d sequences: %+v, %d gang removals (verify tag: %v)",
 		sequences, totals, gangRemovals, VerifyEnabled)
+}
+
+// checkTasks asserts the engine's committed set is the mirror, in
+// admission order: Engine.Tasks promises that order, and durable
+// snapshots are written from it.
+func checkTasks(t *testing.T, eng Engine, mirror TaskSet, seq, op int) {
+	t.Helper()
+	if got := eng.Tasks(); !slices.Equal(got, mirror) {
+		t.Fatalf("seq %d op %d: committed tasks out of admission order\ngot  %v\nwant %v",
+			seq, op, got, mirror)
+	}
 }
 
 // removeFirstEqual mirrors the engine's multiset removal: each gang member

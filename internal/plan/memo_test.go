@@ -254,6 +254,32 @@ func TestEvaluateGangSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+func TestAddRemoveSteadyStateZeroAllocs(t *testing.T) {
+	skipUnderRace(t)
+	eng := NewIncremental(specPhi79)
+	if v := eng.TryGang(memoBenchSet()); !v.Admit {
+		t.Fatalf("bench set unexpectedly rejected: %+v", v)
+	}
+	delta := Task{PeriodNs: 10_000_000, SliceNs: 2_000}
+	step := func() {
+		if v := eng.Add(delta); !v.Admit {
+			t.Fatalf("delta rejected: %+v", v)
+		}
+		if _, found := eng.Remove(delta); !found {
+			t.Fatal("delta not found for removal")
+		}
+	}
+	step() // prime scratch buffers and committed-slice capacity
+	full := eng.Stats().FullAnalyses
+	allocs := testing.AllocsPerRun(1000, step)
+	if allocs != 0 {
+		t.Fatalf("Add+Remove allocates %v per op in steady state, want 0", allocs)
+	}
+	if eng.Stats().FullAnalyses != full {
+		t.Fatalf("steady-state deltas fell back to the full analysis: %+v", eng.Stats())
+	}
+}
+
 // --- repeated-admission and batch-probe microbenchmarks (BENCH_PR8) ---
 
 var verdictSink Verdict

@@ -61,13 +61,14 @@ func (ts TaskSet) Canonical() TaskSet {
 // hot path of every digest (cache keys, shard routing, incremental
 // verdicts) and the reflection-based swapper costs several times the
 // comparisons. Unstable sorting is safe — ties are identical Task values.
-func canonSort(ts TaskSet) {
-	slices.SortFunc(ts, func(a, b Task) int {
-		if a.PeriodNs != b.PeriodNs {
-			return cmp.Compare(a.PeriodNs, b.PeriodNs)
-		}
-		return cmp.Compare(a.SliceNs, b.SliceNs)
-	})
+func canonSort(ts TaskSet) { slices.SortFunc(ts, compareTasks) }
+
+// compareTasks is the canonical order: by period, then by slice.
+func compareTasks(a, b Task) int {
+	if a.PeriodNs != b.PeriodNs {
+		return cmp.Compare(a.PeriodNs, b.PeriodNs)
+	}
+	return cmp.Compare(a.SliceNs, b.SliceNs)
 }
 
 // digestScratch pools the sort buffer Digest canonicalizes into, so
@@ -91,36 +92,52 @@ func (ts TaskSet) Digest() uint64 {
 	return h
 }
 
-// digest2 is Digest over the concatenation a ++ b without materializing
-// it: the combined-set key the batch evaluation paths need per candidate.
-func digest2(a, b TaskSet) uint64 {
-	bp := digestScratch.Get().(*TaskSet)
-	buf := append(append((*bp)[:0], a...), b...)
-	canonSort(buf)
-	h := digestOf(buf)
-	*bp = buf
-	digestScratch.Put(bp)
+// digestOf hashes an already-canonical sequence.
+func digestOf(ts TaskSet) uint64 {
+	h := uint64(fnvOffset64)
+	for _, t := range ts {
+		h = hashTask(h, t)
+	}
 	return h
 }
 
-// digestOf hashes an already-canonical sequence.
-func digestOf(ts TaskSet) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v int64) {
-		x := uint64(v)
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= prime64
-			x >>= 8
+// digestMerged is digestOf over the canonical merge of two canonical
+// sequences, hashed in one pass without materializing the merge.
+func digestMerged(a, b TaskSet) uint64 {
+	h := uint64(fnvOffset64)
+	for len(a) > 0 && len(b) > 0 {
+		if compareTasks(b[0], a[0]) < 0 {
+			h, b = hashTask(h, b[0]), b[1:]
+		} else {
+			h, a = hashTask(h, a[0]), a[1:]
 		}
 	}
-	for _, t := range ts {
-		mix(t.PeriodNs)
-		mix(t.SliceNs)
+	for _, t := range a {
+		h = hashTask(h, t)
+	}
+	for _, t := range b {
+		h = hashTask(h, t)
+	}
+	return h
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// hashTask folds one task into a running FNV-1a hash: the period's eight
+// bytes, then the slice's, least significant first.
+func hashTask(h uint64, t Task) uint64 {
+	return hashInt64(hashInt64(h, t.PeriodNs), t.SliceNs)
+}
+
+func hashInt64(h uint64, v int64) uint64 {
+	x := uint64(v)
+	for i := 0; i < 8; i++ {
+		h ^= x & 0xff
+		h *= fnvPrime64
+		x >>= 8
 	}
 	return h
 }
